@@ -1,0 +1,41 @@
+//! Order statistics over samples.
+
+/// The `q` quantile (0..=1) of `xs` by linear interpolation between order
+/// statistics; `NaN` for no samples.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// The median of `xs`.
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
+/// `num / den`, or 0 when `den` is 0.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(quantile(&[0.0, 10.0], 0.9), 9.0);
+        assert!(median(&[]).is_nan());
+    }
+}
